@@ -203,9 +203,10 @@ func TestHotPolicySwapHammer(t *testing.T) {
 	}
 }
 
-// BenchmarkPolicyInsert measures insert throughput per inference backend —
-// the tentpole's headline number. The heuristic baseline bounds the
-// non-inference cost of an insert.
+// BenchmarkPolicyInsert measures insert throughput per inference backend
+// on a UNI stream. The heuristic baseline bounds the non-inference cost of
+// an insert. Payloads are boxed before the timer starts, so allocs/op
+// counts the tree's allocations, not the benchmark's.
 func BenchmarkPolicyInsert(b *testing.B) {
 	pol := benchPolicy(b)
 	bundle, _, err := Distill(pol, DistillConfig{Samples: 20000, Seed: 3})
@@ -213,6 +214,10 @@ func BenchmarkPolicyInsert(b *testing.B) {
 		b.Fatal(err)
 	}
 	items := dataset.MustGenerate(dataset.UNI, 1<<16, 41)
+	payloads := make([]any, len(items))
+	for i := range payloads {
+		payloads[i] = i
+	}
 	newTree := func(kind string) *rtree.Tree {
 		if kind == "heuristic" {
 			// Same fallback strategies a nil-network policy serves.
@@ -235,7 +240,7 @@ func BenchmarkPolicyInsert(b *testing.B) {
 					tr = newTree(kind)
 					b.StartTimer()
 				}
-				tr.Insert(items[i%len(items)], i)
+				tr.Insert(items[i%len(items)], payloads[i%len(items)])
 			}
 		})
 	}
@@ -243,7 +248,7 @@ func BenchmarkPolicyInsert(b *testing.B) {
 
 // benchPolicy builds an untrained (random-weight) policy with production
 // shape for benchmarking — inference cost does not depend on the weights.
-func benchPolicy(b *testing.B) *Policy {
+func benchPolicy(b testing.TB) *Policy {
 	b.Helper()
 	cfg := Config{Seed: 1}.withDefaults()
 	pol := &Policy{

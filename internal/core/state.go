@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/rlr-tree/rlrtree/internal/geom"
 	"github.com/rlr-tree/rlrtree/internal/rtree"
@@ -43,7 +43,7 @@ type chooseScratch struct {
 // with rectangle r at node n (Section 4.1.1 of the paper):
 //
 //  1. if some child fully contains r, report it via Contained (shortcut);
-//  2. otherwise sort children by area enlargement and keep the top k;
+//  2. otherwise rank children by area enlargement and keep the top k;
 //  3. featurize each kept child as [ΔArea, ΔPeri, ΔOvlp, OR], normalizing
 //     the three deltas by their maximum over the kept children;
 //  4. concatenate into a 4k vector, zero-padding when the node has fewer
@@ -92,29 +92,52 @@ func chooseStateInto(sc *chooseScratch, n *rtree.Node, r geom.Rect, k, maxEntrie
 		return cc
 	}
 
-	// Sort by ΔArea ascending, breaking ties by the child's current MBR
-	// area — Guttman's tie-break. Ties are frequent with small objects
-	// (many children need zero or equal enlargement), and without the
-	// secondary key the shortlist order, and therefore action 0, would be
-	// arbitrary among tied children.
+	// Rank by ΔArea ascending, breaking ties by the child's current MBR
+	// area — Guttman's tie-break — and then by entry position. Ties are
+	// frequent with small objects (many children need zero or equal
+	// enlargement), and without the secondary key the shortlist order, and
+	// therefore action 0, would be arbitrary among tied children.
 	areas := growFloats(sc.areas, len(entries))
 	sc.areas = areas
 	for i := range entries {
 		areas[i] = entries[i].Rect.Area()
 	}
-	sort.SliceStable(feats, func(a, b int) bool {
-		if feats[a].dArea != feats[b].dArea {
-			return feats[a].dArea < feats[b].dArea
+	before := func(a, b *childFeature) bool {
+		if a.dArea != b.dArea {
+			return a.dArea < b.dArea
 		}
-		return areas[feats[a].idx] < areas[feats[b].idx]
-	})
+		if areas[a.idx] != areas[b.idx] {
+			return areas[a.idx] < areas[b.idx]
+		}
+		return a.idx < b.idx
+	}
 
-	keep := k
+	keep := min(k, len(feats))
 	if padded {
 		keep = len(feats)
-	}
-	if keep > len(feats) {
-		keep = len(feats)
+		slices.SortStableFunc(feats, func(a, b childFeature) int {
+			switch {
+			case before(&a, &b):
+				return -1
+			case before(&b, &a):
+				return 1
+			}
+			return 0
+		})
+	} else {
+		// Select the k best in k passes. feats starts in entry order and
+		// the key ends in the entry index, so on finite rects (NaN-free
+		// keys) the result is exactly the first k of a stable sort,
+		// without sorting the other M-k.
+		for i := 0; i < keep; i++ {
+			best := i
+			for j := i + 1; j < len(feats); j++ {
+				if before(&feats[j], &feats[best]) {
+					best = j
+				}
+			}
+			feats[i], feats[best] = feats[best], feats[i]
+		}
 	}
 	feats = feats[:keep]
 

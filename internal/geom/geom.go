@@ -112,12 +112,26 @@ func (r Rect) ContainsPoint(p Point) bool {
 }
 
 // Union returns the minimum bounding rectangle of r and s.
+//
+// Union, Intersection and OverlapArea use the builtin min and max, which
+// the compiler inlines. On NaN-free input they return exactly what
+// math.Min and math.Max return, down to the bit: min(-0, +0) is -0 and
+// max(-0, +0) is +0. They differ only when a coordinate is NaN. The
+// builtins then always return a NaN, of unspecified sign and payload,
+// whereas math.Max(NaN, +Inf) is +Inf, math.Min(NaN, -Inf) is -Inf, and
+// math's other NaN results are its one canonical NaN. A rect with a NaN
+// coordinate is not Valid, and the tree rejects it on insert.
+//
+// On valid rects, union is thus a pure selection under a total order in
+// which -0 < +0. It is associative and commutative bit for bit, which lets
+// the tree extend ancestor MBRs incrementally and still match a full
+// recomputation exactly.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX),
-		MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX),
-		MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX),
+		MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX),
+		MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
@@ -129,21 +143,21 @@ func (r Rect) Intersection(s Rect) (Rect, bool) {
 		return Rect{}, false
 	}
 	return Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX),
+		MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX),
+		MaxY: min(r.MaxY, s.MaxY),
 	}, true
 }
 
 // OverlapArea returns the area of the intersection of r and s, zero when
 // they are disjoint or touch only at an edge or corner.
 func (r Rect) OverlapArea(s Rect) float64 {
-	w := math.Min(r.MaxX, s.MaxX) - math.Max(r.MinX, s.MinX)
+	w := min(r.MaxX, s.MaxX) - max(r.MinX, s.MinX)
 	if w <= 0 {
 		return 0
 	}
-	h := math.Min(r.MaxY, s.MaxY) - math.Max(r.MinY, s.MinY)
+	h := min(r.MaxY, s.MaxY) - max(r.MinY, s.MinY)
 	if h <= 0 {
 		return 0
 	}

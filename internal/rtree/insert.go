@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/rlr-tree/rlrtree/internal/geom"
@@ -42,7 +43,7 @@ func (t *Tree) insertAtLevel(e Entry, level int, reins map[int]bool) {
 	if e.Child != NoNode {
 		t.nodes[e.Child].parent = id
 	}
-	t.adjustMBRsUp(n)
+	t.extendMBRsUp(n, e.Rect)
 	t.overflowTreatment(id, level, reins)
 }
 
@@ -72,16 +73,53 @@ func (t *Tree) WouldSplit(r geom.Rect) bool {
 	return len(n.entries) >= t.opts.MaxEntries
 }
 
-// adjustMBRsUp recomputes the parent entry rectangle for n and every
-// ancestor of n. Recomputation is exact (union over entries) rather than
-// incremental so that it is also correct after entry removals, which can
-// shrink MBRs.
+// extendMBRsUp grows the parent entry rectangle of n and of each ancestor
+// to also cover r, after r was added to n. It stops at the first ancestor
+// whose entry does not change: that entry already covered r, so every
+// entry above it does too. Extending is exact, not an approximation.
+// Union selects coordinates under a total order (see geom.Rect.Union), so
+// the extended entry is bit for bit the MBR a full recomputation over the
+// node's entries would give. This is the insert path's only MBR upkeep.
+func (t *Tree) extendMBRsUp(n *Node, r geom.Rect) {
+	for w := n; w.parent != NoNode; {
+		p := &t.nodes[w.parent]
+		e := &p.entries[p.indexOfChild(w.id)]
+		grown := e.Rect.Union(r)
+		if sameRect(grown, e.Rect) {
+			return
+		}
+		e.Rect = grown
+		w = p
+	}
+}
+
+// adjustMBRsUp recomputes the parent entry rectangle of n from n's
+// entries, then does the same for each ancestor in turn. Recomputation,
+// unlike extendMBRsUp, is also correct after entries were removed or
+// redistributed, which can shrink MBRs; splits and forced reinsertion use
+// it. It stops at the first ancestor whose recomputed entry is unchanged,
+// since every entry above is a union that includes the unchanged one.
 func (t *Tree) adjustMBRsUp(n *Node) {
 	for w := n; w.parent != NoNode; {
 		p := &t.nodes[w.parent]
-		p.entries[p.indexOfChild(w.id)].Rect = w.MBR()
+		e := &p.entries[p.indexOfChild(w.id)]
+		mbr := w.MBR()
+		if sameRect(mbr, e.Rect) {
+			return
+		}
+		e.Rect = mbr
 		w = p
 	}
+}
+
+// sameRect reports whether a and b are identical bit for bit. Plain ==
+// would treat -0 and +0 as equal and stop MBR upkeep before a sign-of-zero
+// change reached the ancestors.
+func sameRect(a, b geom.Rect) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
+		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
+		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
 }
 
 // indexOfChild returns the index of the entry of n referring to the child
@@ -113,7 +151,8 @@ func (t *Tree) overflowTreatment(id NodeID, level int, reins map[int]bool) {
 		cur = t.node(cur).parent
 		lvl++
 	}
-	if cur != NoNode {
+	// Without a split, extendMBRsUp already left every ancestor exact.
+	if cur != id && cur != NoNode {
 		t.adjustMBRsUp(t.node(cur))
 	}
 }

@@ -1,7 +1,7 @@
 package rtree
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/rlr-tree/rlrtree/internal/geom"
 )
@@ -67,36 +67,39 @@ func (e *SplitEnumeration) Sorted(s int) []Entry {
 func EnumerateSplits(entries []Entry, minFill int) *SplitEnumeration {
 	n := len(entries)
 	enum := &SplitEnumeration{entries: entries}
-	keys := [4]func(Entry) float64{
-		func(e Entry) float64 { return e.Rect.MinX },
-		func(e Entry) float64 { return e.Rect.MaxX },
-		func(e Entry) float64 { return e.Rect.MinY },
-		func(e Entry) float64 { return e.Rect.MaxY },
+	if per := n - 2*minFill + 1; per > 0 {
+		enum.Cands = make([]SplitCandidate, 0, 4*per)
 	}
-	// Secondary keys break ties deterministically so the enumeration does
-	// not depend on sort instability.
-	secondary := [4]func(Entry) float64{
-		func(e Entry) float64 { return e.Rect.MaxX },
-		func(e Entry) float64 { return e.Rect.MinX },
-		func(e Entry) float64 { return e.Rect.MaxY },
-		func(e Entry) float64 { return e.Rect.MinY },
-	}
+	orders := make([]int32, 4*n)
+	// key and tie hold each entry's sort key and tie-break for the current
+	// sequence, so the comparator reads two flat arrays.
+	keys := make([]float64, 2*n)
+	key, tie := keys[:n], keys[n:]
 
 	prefix := make([]geom.Rect, n+1)
 	suffix := make([]geom.Rect, n+1)
 	for s := 0; s < 4; s++ {
-		order := make([]int32, n)
+		for i := range entries {
+			key[i], tie[i] = seqKeys(entries[i].Rect, s)
+		}
+		order := orders[s*n : (s+1)*n : (s+1)*n]
 		for i := range order {
 			order[i] = int32(i)
 		}
-		key, sec := keys[s], secondary[s]
-		sort.SliceStable(order, func(a, b int) bool {
-			ea, eb := entries[order[a]], entries[order[b]]
-			ka, kb := key(ea), key(eb)
-			if ka != kb {
-				return ka < kb
+		// Plain < comparisons: cmp.Compare would order NaN keys
+		// differently and change the split candidates.
+		slices.SortStableFunc(order, func(a, b int32) int {
+			ka, kb := key[a], key[b]
+			if ka == kb {
+				ka, kb = tie[a], tie[b]
 			}
-			return sec(ea) < sec(eb)
+			switch {
+			case ka < kb:
+				return -1
+			case kb < ka:
+				return 1
+			}
+			return 0
 		})
 		enum.order[s] = order
 
@@ -121,6 +124,22 @@ func EnumerateSplits(entries []Entry, minFill int) *SplitEnumeration {
 		}
 	}
 	return enum
+}
+
+// seqKeys returns r's sort key in sequence s and the tie-break that keeps
+// the order independent of sort stability: the opposite coordinate on the
+// same axis.
+func seqKeys(r geom.Rect, s int) (key, tie float64) {
+	switch s {
+	case 0:
+		return r.MinX, r.MaxX
+	case 1:
+		return r.MaxX, r.MinX
+	case 2:
+		return r.MinY, r.MaxY
+	default:
+		return r.MaxY, r.MinY
+	}
 }
 
 // Materialize converts a candidate into the two entry groups it describes.
@@ -165,24 +184,41 @@ func (e *SplitEnumeration) TopKByMargin(k int, overlapFreeOnly bool) []SplitCand
 	})
 }
 
+// topK returns the k candidates that come first in ascending (primary,
+// secondary) key order, ties kept in enumeration order. On finite rects
+// (NaN-free keys) that is exactly the first k of a stable sort. It selects
+// them by insertion into a k-long buffer instead of sorting every
+// candidate.
 func (e *SplitEnumeration) topK(k int, overlapFreeOnly bool, key func(SplitCandidate) (float64, float64)) []SplitCandidate {
-	cands := make([]SplitCandidate, 0, len(e.Cands))
+	if k <= 0 {
+		return nil
+	}
+	before := func(a, b SplitCandidate) bool {
+		pa, sa := key(a)
+		pb, sb := key(b)
+		if pa != pb {
+			return pa < pb
+		}
+		return sa < sb
+	}
+	top := make([]SplitCandidate, 0, min(k, len(e.Cands)))
 	for _, c := range e.Cands {
 		if overlapFreeOnly && c.Overlap > 0 {
 			continue
 		}
-		cands = append(cands, c)
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		pi, si := key(cands[i])
-		pj, sj := key(cands[j])
-		if pi != pj {
-			return pi < pj
+		if len(top) == k && !before(c, top[k-1]) {
+			continue
 		}
-		return si < sj
-	})
-	if len(cands) > k {
-		cands = cands[:k]
+		if len(top) < k {
+			top = append(top, c)
+		}
+		// Shift c left past every kept candidate it strictly precedes; it
+		// stays behind the equal ones, which were enumerated earlier.
+		i := len(top) - 1
+		for ; i > 0 && before(c, top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = c
 	}
-	return cands
+	return top
 }

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -182,5 +183,92 @@ func TestQuickInsertionInvariants(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tieEntries draws n entries from a coarse grid, so sort keys, total
+// areas and total margins tie often.
+func tieEntries(rng *rand.Rand, n int) []Entry {
+	es := make([]Entry, n)
+	for i := range es {
+		x, y := float64(rng.Intn(4))/4, float64(rng.Intn(4))/4
+		w, h := float64(rng.Intn(2))/4, float64(rng.Intn(2))/4
+		es[i] = Entry{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}, Data: i}
+	}
+	return es
+}
+
+// TestSplitOrderAndTopKMatchStableSort checks the enumeration's sorted
+// orders and the top-k shortlists against the stable sorts they replace,
+// on tie-heavy entry sets: ties must keep enumeration order exactly.
+func TestSplitOrderAndTopKMatchStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	keys := [4][2]func(Entry) float64{
+		{func(e Entry) float64 { return e.Rect.MinX }, func(e Entry) float64 { return e.Rect.MaxX }},
+		{func(e Entry) float64 { return e.Rect.MaxX }, func(e Entry) float64 { return e.Rect.MinX }},
+		{func(e Entry) float64 { return e.Rect.MinY }, func(e Entry) float64 { return e.Rect.MaxY }},
+		{func(e Entry) float64 { return e.Rect.MaxY }, func(e Entry) float64 { return e.Rect.MinY }},
+	}
+	refTopK := func(cands []SplitCandidate, k int, overlapFreeOnly bool, key func(SplitCandidate) (float64, float64)) []SplitCandidate {
+		var out []SplitCandidate
+		for _, c := range cands {
+			if !overlapFreeOnly || c.Overlap <= 0 {
+				out = append(out, c)
+			}
+		}
+		sort.SliceStable(out, func(i, j int) bool {
+			pi, si := key(out[i])
+			pj, sj := key(out[j])
+			if pi != pj {
+				return pi < pj
+			}
+			return si < sj
+		})
+		return out[:min(k, len(out))]
+	}
+	byArea := func(c SplitCandidate) (float64, float64) { return c.TotalArea(), c.TotalMargin() }
+	byMargin := func(c SplitCandidate) (float64, float64) { return c.TotalMargin(), c.TotalArea() }
+
+	for trial := 0; trial < 300; trial++ {
+		n := 5 + rng.Intn(47)
+		es := tieEntries(rng, n)
+		enum := EnumerateSplits(es, 1+rng.Intn(n/2))
+		for s := 0; s < 4; s++ {
+			want := append([]Entry(nil), es...)
+			key, sec := keys[s][0], keys[s][1]
+			sort.SliceStable(want, func(i, j int) bool {
+				if ka, kb := key(want[i]), key(want[j]); ka != kb {
+					return ka < kb
+				}
+				return sec(want[i]) < sec(want[j])
+			})
+			for i, e := range enum.Sorted(s) {
+				if e.Data != want[i].Data {
+					t.Fatalf("trial %d seq %d: position %d holds entry %v, want %v", trial, s, i, e.Data, want[i].Data)
+				}
+			}
+		}
+		for _, k := range []int{1, 2, 5, len(enum.Cands)} {
+			for _, free := range []bool{false, true} {
+				for name, got := range map[string][]SplitCandidate{
+					"area":   enum.TopKByArea(k, free),
+					"margin": enum.TopKByMargin(k, free),
+				} {
+					key := byArea
+					if name == "margin" {
+						key = byMargin
+					}
+					want := refTopK(enum.Cands, k, free, key)
+					if len(got) != len(want) {
+						t.Fatalf("trial %d TopKBy%s(%d, %v): %d candidates, want %d", trial, name, k, free, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("trial %d TopKBy%s(%d, %v)[%d] = %+v, want %+v", trial, name, k, free, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
